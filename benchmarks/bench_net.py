@@ -27,15 +27,21 @@ What *is* gated:
     ``json.dumps`` on the message corpus;
   - the three n=16 digests agree (replay determinism across process
     boundaries);
-  - the **headline**: at n=256 over real sockets, the sharded runtime
-    (8 process shards, batched cross-shard links) sustains >=
-    :data:`SHARD_HEADLINE_SPEEDUP` x the barrier throughput of the
-    single-loop socket runtime.  The single loop's per-message syscalls
-    push round latency past the resend timer and the run diverges into
-    resend amplification; sharding keeps every loop in the regime where
-    the timers are honest.  ``--quick`` runs a smaller n=64 point and
-    only sanity-gates the ratio (>= :data:`QUICK_MIN_RATIO`), because
-    at 64 nodes the single loop still (mostly) keeps up.
+  - the **headline**, a stable-regime comparison at n=256 over real
+    sockets: the sharded runtime (8 process shards, batched
+    cross-shard links) against the single-loop socket runtime, which
+    pays one syscall per message on one core.  Both fault-free sides
+    must complete and stay stable -- within
+    :data:`STABLE_FRAMES_PER_EDGE` frames per tree edge per barrier and
+    :data:`STABLE_RESEND_FRAC` resends per frame -- so a side that
+    collapses into retransmission fails the gate instead of inflating
+    the ratio.  The throughput ratio is recorded, on protocol wall and
+    on end-to-end wall (spawn, handshakes, teardown), but not gated: it
+    moves with the host's core count and load (1.8-2.3x on protocol
+    wall on two cores, while end to end the eight worker start-ups
+    cost more than the protocol saves).  ``--quick`` runs a smaller
+    n=64 point with the same gates plus a sanity floor on the ratio
+    (>= :data:`QUICK_MIN_RATIO`).
 
 The full run also records the scale curve -- sharded barrier latency /
 throughput at n=64, 256 and 1024 (the 1024-node acceptance topology:
@@ -64,8 +70,13 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BASELINE_net.json"
 
 #: Within-run ratio gates (see module docstring).
 ENCODER_MIN_RATIO = 1.05
-SHARD_HEADLINE_SPEEDUP = 2.0
 QUICK_MIN_RATIO = 0.6
+
+#: Stability bounds for a fault-free headline side.  A barrier costs 4
+#: frames per tree edge (arrive, aack, release, rack); the rest is
+#: heartbeats and resends.
+STABLE_FRAMES_PER_EDGE = 6.0
+STABLE_RESEND_FRAC = 0.1
 
 #: The n=16 replay workload: drop + delay + dup + two crash-restarts.
 DIGEST_PLAN = FaultPlan(
@@ -76,11 +87,8 @@ DIGEST_PLAN = FaultPlan(
 )
 
 #: Deep-tree timers, identical on both sides of the headline ratio
-#: (also the 1024-node EXPERIMENTS.md recipe).  At n=256 the sharded
-#: loops turn a round in well under the 0.4 s resend timer; the
-#: single loop's per-message syscalls push its round latency *past*
-#: the timer, and it diverges into resend amplification -- which is
-#: exactly the failure mode sharding exists to stay out of.
+#: (also the 1024-node EXPERIMENTS.md recipe): a 2 s heartbeat keeps
+#: heartbeat traffic from dominating the 256-node single loop.
 SCALE_TIMING = Timing(
     resend=0.4, backoff=2.0, resend_max=2.0, hb_interval=2.0,
     finish_timeout=6.0,
@@ -189,6 +197,8 @@ def _throughput_point(
     )
     wall = time.perf_counter() - start
     protocol_wall = result.wall_s or wall
+    completed = max(1, result.completed)
+    stats = result.node_stats.values()
     return {
         "nodes": nodes,
         "barriers": barriers,
@@ -204,13 +214,15 @@ def _throughput_point(
         "round_latency_s": protocol_wall / result.completed
         if result.completed
         else float("inf"),
+        "frames_per_barrier": sum(s["sent"] for s in stats) / completed,
+        "resends_per_barrier": sum(s["resends"] for s in stats) / completed,
         "xshard_records": result.link_stats.get("xshard_records", 0),
         "xshard_flushes": result.link_stats.get("xshard_flushes", 0),
     }
 
 
 def bench_headline(quick: bool) -> dict:
-    """Sharded vs single-loop sockets at the divergence scale.
+    """Sharded vs single-loop sockets, both in their stable regime.
 
     The single-loop side runs the plain socket transport (one write
     syscall per protocol message -- the deployment baseline the batched
@@ -234,7 +246,10 @@ def bench_headline(quick: bool) -> dict:
         else float("inf")
     )
     return {
-        "ratios": {"sharded_vs_single_loop": ratio},
+        "ratios": {
+            "sharded_vs_single_loop": ratio,
+            "end_to_end_sharded_vs_single_loop": single["wall_s"] / sharded["wall_s"],
+        },
         "info": {
             "nodes": nodes,
             "shards": shards,
@@ -314,25 +329,39 @@ def compare_reports(report: dict, baseline: dict | None = None) -> GateResult:
     )
 
     headline = workloads.get("headline", {})
-    ratio = headline.get("ratios", {}).get("sharded_vs_single_loop", 0.0)
-    floor = QUICK_MIN_RATIO if report.get("quick") else SHARD_HEADLINE_SPEEDUP
-    label = "sanity floor" if report.get("quick") else "headline floor"
-    checks.append(
-        GateCheck(
-            "headline.sharded_vs_single_loop",
-            ratio >= floor,
-            f"sharded {ratio:.2f}x single-loop sockets ({label} {floor})",
+    if report.get("quick"):
+        ratio = headline.get("ratios", {}).get("sharded_vs_single_loop", 0.0)
+        checks.append(
+            GateCheck(
+                "headline.sharded_vs_single_loop",
+                ratio >= QUICK_MIN_RATIO,
+                f"sharded {ratio:.2f}x single-loop sockets "
+                f"(sanity floor {QUICK_MIN_RATIO})",
+            )
         )
-    )
-    sharded_point = headline.get("info", {}).get("sharded", {})
-    checks.append(
-        GateCheck(
-            "headline.sharded_reached",
-            bool(sharded_point.get("reached")),
-            f"sharded completed {sharded_point.get('completed')}"
-            f"/{sharded_point.get('barriers')} barriers",
+    for side in ("single", "sharded"):
+        point = headline.get("info", {}).get(side, {})
+        checks.append(
+            GateCheck(
+                f"headline.{side}_reached",
+                bool(point.get("reached")),
+                f"{side} completed {point.get('completed')}"
+                f"/{point.get('barriers')} barriers",
+            )
         )
-    )
+        edges = max(1, point.get("nodes", 0) - 1)
+        frames = point.get("frames_per_barrier", float("inf"))
+        resends = point.get("resends_per_barrier", float("inf"))
+        checks.append(
+            GateCheck(
+                f"headline.{side}_stable",
+                frames <= STABLE_FRAMES_PER_EDGE * edges
+                and resends <= STABLE_RESEND_FRAC * frames,
+                f"{side} {frames / edges:.2f} frames/edge/barrier "
+                f"(bound {STABLE_FRAMES_PER_EDGE}), {resends:.1f} "
+                f"resends/barrier (bound {STABLE_RESEND_FRAC} x frames)",
+            )
+        )
 
     if baseline is not None:
         for name, base_wl in baseline.get("workloads", {}).items():
@@ -398,8 +427,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="n=64 headline with a sanity floor instead of the n=256 "
-        "2x gate; skips the 1024-node curve point",
+        help="n=64 headline with a sanity floor on the ratio instead of "
+        "n=256; skips the 1024-node curve point",
     )
     parser.add_argument(
         "--update-baseline",
@@ -411,11 +440,18 @@ def main(argv: list[str]) -> int:
     report = measure(quick=args.quick, repeats=args.repeats)
     out = write_report(report, args.out)
     print(f"wrote {out}")
-    for point in report["workloads"]["scale_curve"]["info"]["points"]:
+    headline = report["workloads"]["headline"]["info"]
+    points = [
+        (f"headline {side}", headline[side]) for side in ("single", "sharded")
+    ] + [("scale", p) for p in report["workloads"]["scale_curve"]["info"]["points"]]
+    for label, point in points:
         print(
-            f"  scale n={point['nodes']:4d} {point['transport']:>9s}: "
+            f"  {label} n={point['nodes']:4d} {point['transport']:>9s}: "
             f"{point['round_latency_s'] * 1e3:8.1f} ms/barrier  "
             f"{point['barriers_per_s']:6.2f} barriers/s  "
+            f"{point['frames_per_barrier']:7.0f} frames/b  "
+            f"{point['resends_per_barrier']:6.1f} resends/b  "
+            f"e2e {point['wall_s']:.2f} s  "
             f"{'ok' if point['reached'] else 'DIVERGED'}"
         )
     if args.update_baseline:

@@ -26,6 +26,16 @@ class TopologyError(ReproError):
     """An invalid topology was supplied (disconnected graph, bad tree)."""
 
 
+class ShardError(ReproError):
+    """The sharded runtime's coordinator lost a worker: it raised, died
+    without answering, or missed a start-up or result deadline."""
+
+    def __init__(self, what: str, reason: str) -> None:
+        self.what = what
+        self.reason = reason
+        super().__init__(f"shard {what}: {reason}")
+
+
 class ObsPortInUseError(ReproError):
     """The observability HTTP port is already bound by another process.
 

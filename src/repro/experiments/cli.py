@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="S",
-        help="resend timer override (scale runs want ~0.4 at n>=256; "
-        "default 0.04 suits a few dozen nodes)",
+        help="initial retransmission timeout (default 0.04; each peer's "
+        "timeout then adapts to its measured round trip)",
     )
     net.add_argument(
         "--hb-interval",
@@ -597,7 +597,7 @@ def net_cmd(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"unknown net action {action!r} (use: run)")
     from dataclasses import replace
 
-    from repro.errors import ObsPortInUseError
+    from repro.errors import ObsPortInUseError, ShardError
     from repro.net.node import Timing
     from repro.net.runtime import NetConfig, run_sync
 
@@ -652,7 +652,7 @@ def net_cmd(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         )
     try:
         result = run_sync(config)
-    except ObsPortInUseError as exc:
+    except (ObsPortInUseError, ShardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.render())

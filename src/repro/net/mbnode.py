@@ -289,7 +289,7 @@ class MBRingNode(NetNode):
         await asyncio.sleep(self.timing.work)
         self.machine.busy = False
         self._busy_task = None
-        self._wake.set()
+        self._notify()
 
     async def _push_loop(self) -> None:
         """Periodic state retransmission -- MB's loss masking.  It keeps
@@ -337,8 +337,4 @@ class MBRingNode(NetNode):
                 return
             if changed:
                 await self._push()
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), interval)
-            except asyncio.TimeoutError:
-                pass
+            await self._park(None, interval)

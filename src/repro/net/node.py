@@ -3,8 +3,10 @@
 :class:`NetNode` owns everything a protocol needs under it: the
 transport, per-destination sequence numbers, receiver-side exactly-once
 dedup, the Lamport clock that stamps every traced event, heartbeats,
-bounded-exponential-backoff reliable sends, and the crash-restart
-scaffolding (volatile-state wipe + inbox drain + incarnation bump).
+reliable sends timed by a per-peer adaptive retransmission timeout
+(:class:`RttEstimator`, RFC 6298 with Karn's rule, bounded exponential
+backoff as the ceiling policy), and the crash-restart scaffolding
+(volatile-state wipe + inbox drain + incarnation bump).
 
 It also owns the *defensive frame layer* (on by default): every
 received frame is strictly decoded and schema-validated, and anything a
@@ -51,6 +53,7 @@ KIND_TAGS: dict[str, int] = {
     "push": 7,
     "fsafe": 8,
     "fack": 9,
+    "aack": 10,
 }
 
 #: Authentic provably-invalid frames from one peer before condemnation.
@@ -60,14 +63,51 @@ STRIKE_LIMIT = 3
 #: seeded jitter drawn from the plan seed).
 STRIKE_BACKOFF = 0.05
 
+#: Floor of the adaptive retransmission timeout (seconds).
+RTO_MIN = 0.005
+
+#: Clock granularity G of RFC 6298: the least variance term in the RTO.
+RTO_G = 0.001
+
+
+class RttEstimator:
+    """RFC 6298 retransmission timeout for one peer.
+
+    The first sample R sets SRTT = R and RTTVAR = R/2; each later one
+    updates RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R|, then SRTT = 7/8 SRTT
+    + 1/8 R.  RTO = SRTT + max(G, 4 RTTVAR), clamped to [``RTO_MIN``,
+    ``ceiling``].  Until the first sample the RTO is ``initial``.
+    """
+
+    __slots__ = ("srtt", "rttvar", "rto", "ceiling")
+
+    def __init__(self, initial: float, ceiling: float) -> None:
+        self.srtt: float | None = None
+        self.rttvar = 0.0
+        self.rto = initial
+        self.ceiling = ceiling
+
+    def sample(self, rtt: float) -> None:
+        if self.srtt is None:
+            self.srtt = rtt
+            self.rttvar = rtt / 2
+        else:
+            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
+            self.srtt = 0.875 * self.srtt + 0.125 * rtt
+        rto = self.srtt + max(RTO_G, 4 * self.rttvar)
+        self.rto = min(max(rto, RTO_MIN), self.ceiling)
+
 
 @dataclass(frozen=True)
 class Timing:
     """The runtime's knobs, all in wall-clock seconds.
 
-    ``resend`` grows by ``backoff`` per attempt up to ``resend_max``
-    (the paper's bounded exponential backoff); ``push_interval`` is the
-    MB ring's state-push cadence (its retransmission mechanism).
+    ``resend`` is each peer's initial retransmission timeout, before
+    any round trip has been measured; ``resend_max`` is the ceiling of
+    the adaptive timeout, and a timed-out send grows its timeout by
+    ``backoff`` per attempt up to it (the paper's bounded exponential
+    backoff); ``push_interval`` is the MB ring's state-push cadence
+    (its retransmission mechanism).
     """
 
     resend: float = 0.04
@@ -78,6 +118,11 @@ class Timing:
     push_interval: float = 0.02
     work: float = 0.0
     finish_timeout: float = 2.0
+
+
+def _settle(fut: asyncio.Future) -> None:
+    if not fut.done():
+        fut.set_result(None)
 
 
 class NetNode:
@@ -104,7 +149,10 @@ class NetNode:
         self.incarnation = 0
         self._seq: dict[int, int] = {}
         self._tasks: set[asyncio.Task] = set()
-        self._wake = asyncio.Event()
+        #: Parked waiters: (condition or None for "any wake", future).
+        self._parked: list[tuple[Callable[[], bool] | None, asyncio.Future]] = []
+        #: Per-peer retransmission timeouts (volatile).
+        self._rtt: dict[int, RttEstimator] = {}
         self._running = True
         #: Highest incarnation seen per peer (survives our own crash so
         #: detect events stay exactly-once per restart).
@@ -193,24 +241,57 @@ class NetNode:
         except TransportClosed:
             pass  # the run is tearing down
 
+    def rtt(self, peer: int) -> RttEstimator:
+        """``peer``'s retransmission-timeout estimator."""
+        est = self._rtt.get(peer)
+        if est is None:
+            est = self._rtt[peer] = RttEstimator(
+                self.timing.resend, self.timing.resend_max
+            )
+        return est
+
     async def send_until(
         self,
         dst: int,
         kind: str,
         payload: Mapping[str, Any],
         done: Callable[[], bool],
+        acked: Callable[[], bool] | None = None,
     ) -> None:
-        """Resend ``kind`` to ``dst`` with bounded exponential backoff
-        until ``done()`` -- the runtime's only reliability primitive."""
-        delay = self.timing.resend
+        """Resend ``kind`` to ``dst`` until ``done()`` -- the runtime's
+        only reliability primitive.
+
+        Each wait is ``dst``'s current RTO, doubled per timeout up to
+        ``resend_max``.  ``acked()`` (default ``done``) holds once
+        ``dst`` has answered the frame; an answer to a frame that was
+        never resent is one round-trip sample (Karn's rule).  While
+        ``acked()`` holds but ``done()`` does not, nothing is sent and
+        no timer runs; if ``acked()`` turns false again (the peer
+        restarted), sending resumes.
+        """
+        replied = acked or done
+        est = self.rtt(dst)
+        sent_at: float | None = None  # first send, until a resend (Karn)
         first = True
+        delay = est.rto
         while self._running and not done():
+            if replied():
+                await self._park(lambda: done() or not replied())
+                delay = est.rto
+                continue
             await self.send_msg(dst, kind, payload)
-            if not first:
+            if first:
+                sent_at = self._now()
+                first = False
+            else:
                 self.stats["resends"] += 1
-            first = False
-            await asyncio.sleep(delay)
-            delay = min(delay * self.timing.backoff, self.timing.resend_max)
+                sent_at = None
+            if await self._park(lambda: done() or replied(), delay):
+                if sent_at is not None and replied():
+                    est.sample(self._now() - sent_at)
+                sent_at = None
+            else:
+                delay = min(delay * self.timing.backoff, self.timing.resend_max)
 
     # -- receiving -----------------------------------------------------
     async def _recv_loop(self) -> None:
@@ -262,7 +343,7 @@ class NetNode:
                     tag=KIND_TAGS.get(msg.kind, 0),
                 )
             if self._handle_system(msg):
-                self._wake.set()
+                self._notify()
                 continue
             if self.defense:
                 reason = self.validate_msg(msg)
@@ -271,7 +352,7 @@ class NetNode:
                     self._strike(src)
                     continue
             self.handle(msg)
-            self._wake.set()
+            self._notify()
 
     def handle(self, msg: Message) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -340,7 +421,7 @@ class NetNode:
 
     def _enter_failsafe(self) -> None:
         if self.failsafe:
-            self._wake.set()
+            self._notify()
             return
         self.failsafe = True
         for nb in self.neighbors():
@@ -352,7 +433,7 @@ class NetNode:
                     lambda nb=nb: self._fsafe_acked.get(nb, False),
                 )
             )
-        self._wake.set()
+        self._notify()
 
     def _handle_system(self, msg: Message) -> bool:
         """Base-layer kinds (the fail-safe flood); True when consumed."""
@@ -458,19 +539,46 @@ class NetNode:
             self.spawn(self._silence_loop())
 
     # -- waiting -------------------------------------------------------
+    async def _park(
+        self, cond: Callable[[], bool] | None, timeout: float | None = None
+    ) -> bool:
+        """Sleep until ``cond()`` holds or ``timeout`` elapses; return
+        ``cond()``.  The condition is re-checked at every
+        :meth:`_notify` (each accepted frame), so a waiter wakes only
+        when its own condition turns true.  ``cond=None`` wakes at the
+        next notify."""
+        if cond is not None and cond():
+            return True
+        loop = asyncio.get_running_loop()
+        fut = loop.create_future()
+        self._parked.append((cond, fut))
+        timer = None if timeout is None else loop.call_later(timeout, _settle, fut)
+        try:
+            await fut
+        finally:
+            if timer is not None:
+                timer.cancel()
+        return cond is None or cond()
+
+    def _notify(self) -> None:
+        """Wake the parked waiters whose condition now holds."""
+        parked, self._parked = self._parked, []
+        for entry in parked:
+            cond, fut = entry
+            if fut.done():
+                continue
+            if cond is None or cond():
+                fut.set_result(None)
+            else:
+                self._parked.append(entry)
+
     async def wait_for(
         self, cond: Callable[[], bool], poll: float = 0.25
     ) -> None:
         """Block until ``cond()`` holds; woken by message arrival, with
-        a poll fallback against lost wakeups."""
-        while not cond():
-            self._wake.clear()
-            if cond():
-                return
-            try:
-                await asyncio.wait_for(self._wake.wait(), poll)
-            except asyncio.TimeoutError:
-                pass
+        a poll fallback for state changed off the receive path."""
+        while not await self._park(cond, poll):
+            pass
 
     # -- crash-restart -------------------------------------------------
     def reset_volatile(self) -> None:
@@ -480,6 +588,7 @@ class NetNode:
         self._strikes = {}
         self._suspect_until = {}
         self._fsafe_acked = {}
+        self._rtt = {}
 
     def _narrate_crash(self) -> None:
         """Hook: close any narration the fault interrupts.  Runs right

@@ -1,14 +1,11 @@
 """The sharded runtime: process-per-shard event loops at 1000+ nodes.
 
-One asyncio loop tops out at a few dozen protocol nodes: every node's
-resend and heartbeat timer competes for the same GIL, round latency
-grows with N, and once it crosses the resend interval the runtime
-enters a message-amplification feedback (resends beget work beget
-longer rounds beget more resends) that diverges outright around a
-couple hundred nodes.  :func:`run_sharded` splits the node set across
-``config.shards`` worker processes -- each running its *own* event
-loop over the existing, unchanged node classes -- so the per-loop node
-count stays in the regime where the timers are honest.
+One asyncio loop runs every node's handlers, timers and frame codec
+on one core under one GIL, so round latency grows with N.
+:func:`run_sharded` splits the node set across ``config.shards``
+worker processes -- each running its *own* event loop over the
+existing, unchanged node classes -- so the per-loop work stays small
+and the shards use every core.
 
 Topology-aware partitioning (:func:`partition_nodes`) keeps protocol
 edges inside shards: the tree protocol is cut at the shallowest heap
@@ -58,6 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.errors import ShardError
 from repro.net.frames import FrameDecoder, append_frame, pack_record, unpack_record
 from repro.net.transport import (
     Transport,
@@ -68,7 +66,8 @@ from repro.net.transport import (
 from repro.obs.events import FAULT, PHASE_END, ObsEvent
 
 #: Seconds the coordinator grants workers on top of ``timeout_s`` for
-#: interpreter start-up, imports and result shipping.
+#: interpreter start-up, imports and result shipping, per CPU's worth
+#: of shards (see :func:`startup_grace`).
 STARTUP_GRACE = 30.0
 
 SHARD_TRANSPORTS = ("auto", "unix", "tcp")
@@ -567,6 +566,12 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
+def startup_grace(shards: int) -> float:
+    """:data:`STARTUP_GRACE` scaled by how many shards share each CPU:
+    the workers' interpreter start-ups and imports run concurrently."""
+    return STARTUP_GRACE * max(1.0, shards / (os.cpu_count() or 1))
+
+
 def run_sharded(config: Any) -> Any:
     """Run ``config`` across ``config.shards`` worker processes.
 
@@ -592,10 +597,12 @@ def run_sharded(config: Any) -> Any:
     )
 
     ctx = multiprocessing.get_context("spawn")
+    grace = startup_grace(shards)
     wall_start = _time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="shard-") as sockdir:
         procs: list[Any] = []
         conns: list[Any] = []
+        payloads: list[dict[str, Any]] = []
         try:
             for shard_id in range(shards):
                 parent_conn, child_conn = ctx.Pipe()
@@ -616,13 +623,12 @@ def run_sharded(config: Any) -> Any:
                 procs.append(proc)
                 conns.append(parent_conn)
 
-            deadline = _time.monotonic() + STARTUP_GRACE
+            deadline = _time.monotonic() + grace
             addresses: dict[int, str] = {}
             for conn in conns:
-                msg = _pipe_recv(conn, deadline, "address handshake")
-                if msg[0] == "error":
-                    raise RuntimeError(f"shard worker failed:\n{msg[1]}")
-                _op, shard_id, address = msg
+                _op, shard_id, address = _pipe_recv(
+                    conn, deadline, "address handshake"
+                )
                 addresses[shard_id] = address
 
             epoch = _time.time()
@@ -634,16 +640,10 @@ def run_sharded(config: Any) -> Any:
             # generous because a worker that hits its own timeout still
             # has to cancel nodes, drain queues and pickle results.
             deadline = (
-                _time.monotonic()
-                + config.timeout_s
-                + max(STARTUP_GRACE, config.timeout_s)
+                _time.monotonic() + config.timeout_s + max(grace, config.timeout_s)
             )
-            payloads: list[dict[str, Any]] = []
             for conn in conns:
-                msg = _pipe_recv(conn, deadline, "shard result")
-                if msg[0] == "error":
-                    raise RuntimeError(f"shard worker failed:\n{msg[1]}")
-                payloads.append(msg[1])
+                payloads.append(_pipe_recv(conn, deadline, "shard result")[1])
         finally:
             for conn in conns:
                 try:
@@ -651,6 +651,8 @@ def run_sharded(config: Any) -> Any:
                 except OSError:
                     pass
             for proc in procs:
+                if len(payloads) < len(procs):
+                    proc.terminate()  # the run failed; nobody waits on it
                 proc.join(timeout=5.0)
                 if proc.is_alive():
                     proc.terminate()
@@ -749,11 +751,15 @@ def run_sharded(config: Any) -> Any:
 
 
 def _pipe_recv(conn: Any, deadline: float, what: str) -> Any:
-    """Receive one pipe message before ``deadline`` (monotonic)."""
+    """Receive one worker message before ``deadline`` (monotonic);
+    a timeout, a dead worker or a worker's error is a :class:`ShardError`."""
     remaining = deadline - _time.monotonic()
     if remaining <= 0 or not conn.poll(remaining):
-        raise TimeoutError(f"timed out waiting for {what}")
+        raise ShardError(what, "timed out")
     try:
-        return conn.recv()
-    except EOFError as exc:
-        raise RuntimeError(f"shard worker died before sending {what}") from exc
+        msg = conn.recv()
+    except EOFError:
+        raise ShardError(what, "worker died before answering") from None
+    if msg[0] == "error":
+        raise ShardError(what, f"worker failed:\n{msg[1]}")
+    return msg

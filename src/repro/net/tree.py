@@ -4,14 +4,22 @@ This is the deployment of the paper's RB-on-trees discipline over real
 (lossy, reordering, partitionable) channels: each barrier round *r* is
 an arrive wave up the tree and a release wave down it.
 
-* a node reliably resends ``arrive(r)`` to its parent until it sees a
-  ``release(r')`` with ``r' >= r``;
-* a parent answers a *stale* arrive (``r`` < its round) with a direct
-  one-shot ``release(r)`` -- the idempotent reply that heals any loss
-  or crash on the downstream path;
+* a node reliably resends ``arrive(r)`` to its parent until the
+  parent acknowledges it with ``aack(r)``, then waits, with no timer
+  running, for a ``release(r')`` with ``r' >= r``; a ``resync`` from a
+  restarted parent (which lost the arrival) starts the resends again;
+* a parent answers a current-round arrive with ``aack(r)`` and a
+  *stale* arrive (``r`` < its round) with a direct one-shot
+  ``release(r)`` -- the idempotent reply that heals any loss or crash
+  on the downstream path;
 * releases are resent until the child acks (``rack``), and both waves
   are monotone (tracked as per-peer high-water marks), so duplicates
   and reordering are harmless by construction.
+
+Every reliable wave has a reply (``arrive``/``aack``,
+``release``/``rack``, ``resync``/``sync``), so every resend timer is
+the peer's measured retransmission timeout
+(:class:`~repro.net.node.RttEstimator`), not a fixed interval.
 
 Crash-restart is the paper's detectable-fault reset path: the node
 loses every volatile table (arrivals, acks, dedup, pending resends, the
@@ -96,6 +104,7 @@ class TreeBarrierNode(NetNode):
         # -- volatile protocol tables --
         self._last_arrive: dict[int, int] = {}
         self._max_release = -1
+        self._arrive_acked = -1  # highest own arrive the parent acked
         self._release_acked: dict[int, int] = {}
         self._synced: set[int] = set()
         self._open_phase: int | None = None  # root's in-flight instance
@@ -111,13 +120,14 @@ class TreeBarrierNode(NetNode):
         super().reset_volatile()
         self._last_arrive = {}
         self._max_release = -1
+        self._arrive_acked = -1
         self._release_acked = {}
         self._synced = set()
 
     # -- handlers ------------------------------------------------------
     def handle(self, msg: Message) -> None:
         kind, src, p = msg.kind, msg.src, msg.payload
-        if kind in ("arrive", "release", "rack"):
+        if kind in ("arrive", "aack", "release", "rack"):
             r = p.get("round")
             if not isinstance(r, int) or isinstance(r, bool):
                 return  # trusting mode: ignore garbage rather than raise
@@ -128,6 +138,11 @@ class TreeBarrierNode(NetNode):
                 # Stale arrive: the child missed (or we lost) the
                 # release for a finished round -- answer directly.
                 self.spawn(self.send_msg(src, "release", {"round": r}))
+            elif r == self.round:
+                self.spawn(self.send_msg(src, "aack", {"round": r}))
+        elif kind == "aack":
+            if src == self.parent and r > self._arrive_acked:
+                self._arrive_acked = r
         elif kind == "release":
             if r > self._max_release:
                 self._max_release = r
@@ -137,6 +152,9 @@ class TreeBarrierNode(NetNode):
                 self._release_acked[src] = r
         elif kind == "resync":
             if self.note_peer_incarnation(src, msg.incarnation):
+                if src == self.parent:
+                    # The restarted parent lost our arrival: resend it.
+                    self._arrive_acked = -1
                 if self.tracer.enabled:
                     self.tracer.detect(
                         float(self.clock.tick()),
@@ -161,18 +179,18 @@ class TreeBarrierNode(NetNode):
         The load-bearing invariant is the durable round counter: it
         survives crash-restart (only the volatile tables reset), and a
         child can never be ahead of its parent (releases gate round
-        advance), so every honest ``arrive``/``release``/``rack``
+        advance), so every honest ``arrive``/``aack``/``release``/``rack``
         carries ``round <= self.round`` -- even mid-recovery.  A higher
         round is therefore a *proof* of misbehaviour, never a race.
         """
         kind, src, p = msg.kind, msg.src, msg.payload
         if kind == "hb":
             return None
-        if kind in ("arrive", "release", "rack"):
+        if kind in ("arrive", "aack", "release", "rack"):
             r = p.get("round")
             if not isinstance(r, int) or isinstance(r, bool) or r < 0:
                 return "schema"
-            if kind == "release":
+            if kind in ("aack", "release"):
                 if src != self.parent:
                     return "topology"
             elif src not in self.children:
@@ -207,7 +225,7 @@ class TreeBarrierNode(NetNode):
         such a resend would be receiver-valid -- a forged arrival that
         wrongly completes a round and makes the pinch timing-dependent.
         """
-        if kind not in ("arrive", "release", "rack"):
+        if kind not in ("arrive", "aack", "release", "rack"):
             return kind, payload
         from repro.net.faults import _decision
 
@@ -313,9 +331,10 @@ class TreeBarrierNode(NetNode):
                         self.parent,
                         "arrive",
                         {"round": r},
-                        lambda: self._max_release >= r
+                        lambda r=r: self._max_release >= r
                         or self.round > r  # a crash re-arms via resync
                         or self.failsafe,
+                        acked=lambda r=r: self._arrive_acked >= r,
                     )
                 )
                 await self.wait_for(
@@ -332,7 +351,9 @@ class TreeBarrierNode(NetNode):
                         child,
                         "release",
                         {"round": r},
-                        lambda child=child: self._release_acked.get(child, -1)
+                        lambda child=child, r=r: self._release_acked.get(
+                            child, -1
+                        )
                         >= r
                         or self.failsafe,
                     )

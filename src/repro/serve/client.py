@@ -185,10 +185,12 @@ class ServeClient:
         condemned this client out of the group while we waited (the
         byzantine clients' expected fate).  The arrive frame is resent
         every ``resend_s`` until one of those outcomes -- the protocol's
-        idempotent healing covers every lost release.
+        idempotent healing covers every lost release.  Wakes for other
+        groups' frames re-check the outcome but never resend early.
         """
-        deadline = asyncio.get_event_loop().time() + self.timeout_s
-        first = True
+        loop = asyncio.get_event_loop()
+        deadline = loop.time() + self.timeout_s
+        sent_at: float | None = None
         while True:
             if self._released.get(group, -1) >= round_:
                 return "released"
@@ -196,19 +198,21 @@ class ServeClient:
                 return "ejected"
             if not self.connected:
                 raise ServeClientError("disconnected", "arrive")
-            if not first:
-                self.stats["resends"] += 1
-            first = False
-            self._send(
-                ARRIVE,
-                {"g": group, "round": round_, "rid": self._next_rid()},
-            )
-            if asyncio.get_event_loop().time() > deadline:
+            now = loop.time()
+            if sent_at is None or now - sent_at >= self.resend_s:
+                if sent_at is not None:
+                    self.stats["resends"] += 1
+                sent_at = now
+                self._send(
+                    ARRIVE,
+                    {"g": group, "round": round_, "rid": self._next_rid()},
+                )
+            if now > deadline:
                 raise ServeTimeout(
                     f"client {self.client_id}: no release for "
                     f"{group}#{round_} within {self.timeout_s}s"
                 )
-            await self._wait_signal(self.resend_s)
+            await self._wait_signal(sent_at + self.resend_s - now)
 
     def released_round(self, group: str) -> int:
         """Highest round released for ``group`` (-1 before any)."""

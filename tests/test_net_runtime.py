@@ -32,6 +32,23 @@ def test_clean_tree_run_mem():
     assert times == sorted(times)
 
 
+def test_256_node_single_loop_default_timing_completes():
+    """A fault-free 256-node arity-4 tree on one loop with default
+    ``Timing`` stays stable: every frame is an arrive/aack/release/rack
+    of the current round or a heartbeat, not a resend storm."""
+    barriers = 5
+    result = run_sync(
+        NetConfig(nodes=256, arity=4, barriers=barriers, timeout_s=30.0)
+    )
+    assert result.ok and result.completed == barriers
+    sent = sum(s["sent"] for s in result.node_stats.values())
+    resends = sum(s["resends"] for s in result.node_stats.values())
+    # 4 frames per tree edge per barrier is 1020; heartbeats add ~2 per
+    # edge per second.
+    assert sent / barriers <= 2000
+    assert resends / barriers <= 256
+
+
 def test_acceptance_seeded_drop_partition_replays_identically():
     """The PR's acceptance criterion: a 5-node 20-barrier run under a
     seeded drop+partition plan completes with zero monitor violations,

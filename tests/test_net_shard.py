@@ -13,18 +13,22 @@ The load-bearing claims, in test form:
 * the batching codec (``append_frame`` + ``pack_record``) survives
   arbitrary re-chunking of a coalesced stream, and receiver-side dedup
   stays exactly-once when duplicates of one identity arrive via
-  different shards and across incarnation bumps.
+  different shards and across incarnation bumps;
+* a worker that never answers the start-up handshake surfaces as a
+  structured :class:`~repro.errors.ShardError`, never a raw traceback.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.plan import CampaignConfig, FaultEvent, FaultPlan, LinkPlan
+from repro.errors import ReproError, ShardError
 from repro.experiments.cli import main as cli_main
 from repro.net import (
     DedupIndex,
@@ -235,6 +239,43 @@ def test_sharded_trace_dir_layout(tmp_path):
     # processes produced the events.
     times = [e.time for e in result.merged_events]
     assert times == sorted(times)
+
+
+def _silent_worker(spec, conn) -> None:
+    """A shard worker that holds its pipe open and never answers."""
+    time.sleep(60)
+
+
+def _dead_worker(spec, conn) -> None:
+    """A shard worker that exits before answering."""
+
+
+@pytest.mark.parametrize(
+    "worker, grace, reason",
+    [(_silent_worker, 2.0, "timed out"), (_dead_worker, 30.0, "worker died")],
+)
+def test_unanswered_startup_is_a_structured_error(monkeypatch, worker, grace, reason):
+    from repro.net import shard
+
+    monkeypatch.setattr(shard, "_worker_main", worker)
+    monkeypatch.setattr(shard, "STARTUP_GRACE", grace)
+    start = time.monotonic()
+    with pytest.raises(ShardError) as info:
+        run_sync(NetConfig(nodes=8, barriers=2, shards=2, timeout_s=5.0))
+    assert isinstance(info.value, ReproError)
+    assert info.value.what == "address handshake"
+    assert info.value.reason.startswith(reason)
+    # The unanswering workers are terminated, not waited on.
+    assert time.monotonic() - start < grace + 5.0
+
+
+def test_startup_grace_scales_with_shards_per_cpu(monkeypatch):
+    from repro.net import shard
+
+    monkeypatch.setattr(shard.os, "cpu_count", lambda: 2)
+    assert shard.startup_grace(1) == shard.STARTUP_GRACE
+    assert shard.startup_grace(2) == shard.STARTUP_GRACE
+    assert shard.startup_grace(8) == 4 * shard.STARTUP_GRACE
 
 
 def test_sharded_config_validation():

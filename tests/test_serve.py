@@ -145,6 +145,52 @@ def test_barrier_rounds_complete():
     run(go())
 
 
+def test_parked_arrives_resend_only_on_their_own_timer():
+    """Client 1 is in four groups.  Its arrives in g1..g3 stay parked
+    while g0 runs 25 rounds, and every g0 release wakes them; each
+    resends only once ``resend_s`` has passed since its own last send."""
+    rounds, resend_s = 25, 0.2
+
+    async def go():
+        daemon = await boot()
+        a = client_for(daemon, 1, resend_s=resend_s)
+        b = client_for(daemon, 2)
+        held = ["g1", "g2", "g3"]
+        try:
+            await a.connect()
+            await b.connect()
+            await a.create("g0", capacity=2, barriers=rounds)
+            for group in held:
+                await a.create(group, capacity=2, barriers=1)
+            for group in ["g0", *held]:
+                await a.join(group)
+                await b.join(group)
+            loop = asyncio.get_event_loop()
+            start = loop.time()
+
+            async def lockstep(client: ServeClient) -> None:
+                for r in range(rounds):
+                    assert await client.arrive("g0", r) == "released"
+
+            async def partner() -> None:
+                await lockstep(b)
+                await asyncio.sleep(0.3)
+                await asyncio.gather(*(b.arrive(g, 0) for g in held))
+
+            statuses = await asyncio.gather(
+                lockstep(a), partner(), *(a.arrive(g, 0) for g in held)
+            )
+            assert statuses[2:] == ["released"] * len(held)
+            return a.stats["resends"], loop.time() - start
+        finally:
+            await a.close()
+            await b.close()
+            await daemon.shutdown()
+
+    resends, elapsed = run(go())
+    assert resends <= 4 * elapsed / resend_s
+
+
 def test_leave_mid_barrier_remaining_members_complete():
     """A member departing mid-round must not wedge the barrier: the
     group re-checks completion on leave, so the remaining members'
