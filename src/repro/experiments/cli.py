@@ -848,11 +848,17 @@ def _main(argv: list[str] | None = None) -> int:
                 f"{args.experiment} requires a JSONL trace path "
                 f"(usage: {parser.prog} {args.experiment} <trace.jsonl>)"
             )
-        if args.experiment == "trace-report":
-            return trace_report(args.path)
-        if args.experiment == "metrics-report":
-            return metrics_report(args.path, args.format)
-        return causal_report_cmd(args.path, args.format)
+        try:
+            if args.experiment == "trace-report":
+                return trace_report(args.path)
+            if args.experiment == "metrics-report":
+                return metrics_report(args.path, args.format)
+            return causal_report_cmd(args.path, args.format)
+        except BrokenPipeError:
+            raise  # an OSError too, but main() exits quietly on it
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     targets = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for exp_id in targets:
         start = time.perf_counter()

@@ -1,17 +1,13 @@
 """Causal fault analytics: per-fault chains through the trace.
 
-:func:`build_chains` reconstructs, for every injected fault, the chain
+:func:`build_chains` returns, for every injected fault, the chain
 
     fault -> detect -> recovery -> first clean ``phase_end``
 
-with correct attribution under *overlapping* faults: pending faults are
-tracked per pid (FIFO within a pid), and only pid-less bookkeeping falls
-back to global arrival order.  A recovery whose pid has its own pending
-fault closes that fault alone; a recovery with no fault of its own
-(root-observed return to a start state, or a pid-less event) is
-system-wide -- it closes *every* open chain at once, and each chain's
-latency is measured from its own fault time, which is what turns a
-single mean into the per-fault latency distribution the convergence
+as folded by :class:`repro.obs.spans.FaultChains` (the attribution
+rules live there): one :class:`FaultChain` per fault-chain span.  Each
+chain's latency is measured from its own fault time, which is what turns
+a single mean into the per-fault latency distribution the convergence
 literature reports.
 
 The result feeds :class:`CausalReport` -- latency distributions split
@@ -25,7 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.obs.events import DETECT, FAULT, PHASE_END, RECOVERY, ObsEvent
+from repro.obs.events import ObsEvent
+from repro.obs.spans import FAULT_CHAIN, Span, SpanFolder
 
 DETECTABLE = "detectable"
 UNDETECTABLE = "undetectable"
@@ -40,14 +37,26 @@ class FaultChain:
     detectable: bool
     detect_time: float | None = None
     recovery_time: float | None = None
-    #: Engine-supplied latency on the recovery event, when present (it
-    #: overrides the fault->recovery difference for *this* chain only if
-    #: the recovery was attributed to this chain first).
-    explicit_latency: float | None = None
+    #: Fault-to-start-state latency (the Figure 7 quantity).
+    recovery_latency: float | None = None
     clean_phase_time: float | None = None
-    #: True when the closing recovery was system-wide (global fallback)
-    #: rather than matched to this chain's pid.
+    #: True when the closing recovery was not matched to this chain's
+    #: pid (it ended the whole episode).
     system_wide_recovery: bool = False
+
+    @classmethod
+    def from_span(cls, span: Span) -> "FaultChain":
+        attrs = span.attrs
+        return cls(
+            fault_time=span.start,
+            pid=span.pid,
+            detectable=attrs["detectable"],
+            detect_time=attrs.get("detect_time"),
+            recovery_time=attrs.get("recovery_time"),
+            recovery_latency=attrs.get("recovery_latency"),
+            clean_phase_time=attrs.get("clean_phase_time"),
+            system_wide_recovery=attrs.get("system_wide_recovery", False),
+        )
 
     @property
     def klass(self) -> str:
@@ -58,15 +67,6 @@ class FaultChain:
         if self.detect_time is None:
             return None
         return self.detect_time - self.fault_time
-
-    @property
-    def recovery_latency(self) -> float | None:
-        """Fault-to-start-state latency (the Figure 7 quantity)."""
-        if self.explicit_latency is not None:
-            return self.explicit_latency
-        if self.recovery_time is None:
-            return None
-        return self.recovery_time - self.fault_time
 
     @property
     def total_latency(self) -> float | None:
@@ -95,69 +95,11 @@ class FaultChain:
 
 
 def build_chains(events: Iterable[ObsEvent]) -> list[FaultChain]:
-    """Reconstruct every fault's chain from an event sequence."""
-    chains: list[FaultChain] = []
-    #: pid -> FIFO of indices into ``chains`` awaiting recovery
-    open_by_pid: dict[int | None, list[int]] = {}
-    #: chains recovered but still awaiting their first clean phase end
-    awaiting_clean: list[int] = []
-
-    def close(index: int, event: ObsEvent, system_wide: bool) -> None:
-        chain = chains[index]
-        chain.recovery_time = event.time
-        chain.system_wide_recovery = system_wide
-        explicit = event.data.get("latency")
-        if explicit is not None and not system_wide:
-            chain.explicit_latency = float(explicit)
-        awaiting_clean.append(index)
-
-    for event in events:
-        kind = event.kind
-        if kind == FAULT:
-            chain = FaultChain(
-                fault_time=event.time,
-                pid=event.pid,
-                detectable=bool(event.data.get("detectable", True)),
-            )
-            chains.append(chain)
-            open_by_pid.setdefault(event.pid, []).append(len(chains) - 1)
-        elif kind == DETECT:
-            # Attribute to the earliest open, not-yet-detected chain:
-            # detection is observed at the root, not at the victim, so
-            # global order is the only available attribution.
-            open_indices = sorted(
-                i for q in open_by_pid.values() for i in q
-            )
-            for i in open_indices:
-                if chains[i].detect_time is None:
-                    chains[i].detect_time = event.time
-                    break
-        elif kind == RECOVERY:
-            queue = open_by_pid.get(event.pid)
-            if event.pid is not None and queue:
-                index = queue.pop(0)
-                if not queue:
-                    del open_by_pid[event.pid]
-                close(index, event, system_wide=False)
-            else:
-                # System-wide: every open chain recovered at this moment.
-                explicit = event.data.get("latency")
-                open_indices = sorted(
-                    i for q in open_by_pid.values() for i in q
-                )
-                open_by_pid.clear()
-                for j, i in enumerate(open_indices):
-                    close(i, event, system_wide=True)
-                    if explicit is not None and j == 0:
-                        # The engine's latency was measured from the
-                        # earliest fault of the episode.
-                        chains[i].explicit_latency = float(explicit)
-        elif kind == PHASE_END and event.data.get("success"):
-            if awaiting_clean:
-                for i in awaiting_clean:
-                    chains[i].clean_phase_time = event.time
-                awaiting_clean.clear()
-    return chains
+    """Every fault's chain from an event sequence, in fault order."""
+    folder = SpanFolder(recent=0, keep_all=True, participation=False)
+    folder.feed_all(events).finish(math.inf)
+    spans = [s for s in folder.completed or () if s.kind == FAULT_CHAIN]
+    return [FaultChain.from_span(s) for s in sorted(spans, key=lambda s: s.span_id)]
 
 
 @dataclass

@@ -83,11 +83,18 @@ def iter_jsonl(path_or_file: PathOrFile) -> Iterator[ObsEvent]:
                 continue
             try:
                 record: Any = json.loads(line)
-            except json.JSONDecodeError as exc:
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                event = ObsEvent.from_dict(
+                    {k: _decode_value(v) for k, v in record.items()}
+                )
+            except KeyError as exc:
+                raise ValueError(
+                    f"bad JSONL at line {lineno}: missing key {exc}"
+                ) from exc
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad JSONL at line {lineno}: {exc}") from exc
-            yield ObsEvent.from_dict(
-                {k: _decode_value(v) for k, v in record.items()}
-            )
+            yield event
     finally:
         if close:
             fh.close()

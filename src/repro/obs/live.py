@@ -136,8 +136,9 @@ class LivePlane:
       :attr:`live_violations` as ``(violation, span context)`` pairs the
       moment they fire;
     * the span folder (phase narration from node 0, everything else
-      from everyone);
-    * a metrics observer over the full merged stream (optional).
+      from everyone), whose fault chains attribute every recovery once;
+    * a metrics observer over the full merged stream (optional),
+      reading its recovery attribution from the folder.
 
     ``finish(reached)`` closes the merger, lets monitors and folder
     report end-of-stream obligations, and finalizes metrics.  The
@@ -206,18 +207,15 @@ class LivePlane:
         self._last_time = event.time
         if self.merged is not None:
             self.merged.append(event)
-        if self.observer is not None:
-            self.observer(event)
         # Span folding wants the narrated phases plus everyone's
-        # activity; monitors want exactly the monitor stream.
-        if event.kind in (PHASE_START, PHASE_END):
-            if event.pid == 0:
-                self.folder.feed(event)
-                self._feed_monitors(event)
-        else:
-            self.folder.feed(event)
-            if event.kind in (FAULT, DETECT, RECOVERY):
-                self._feed_monitors(event)
+        # activity; monitors want exactly the monitor stream.  The
+        # folder's fault chains are the observer's attribution too.
+        narrated = event.kind not in (PHASE_START, PHASE_END) or event.pid == 0
+        closed = self.folder.feed(event) if narrated else ()
+        if self.observer is not None:
+            self.observer.fold(event, closed)
+        if monitor_filter(event):
+            self._feed_monitors(event)
 
     def _feed_monitors(self, event: ObsEvent) -> None:
         self._last_monitor_time = event.time

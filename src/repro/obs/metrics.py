@@ -38,6 +38,7 @@ from repro.obs.events import (
     TOKEN_PASS,
     ObsEvent,
 )
+from repro.obs.spans import FaultChains, Span, episode_latency
 
 LabelValues = tuple[str, ...]
 
@@ -626,6 +627,11 @@ DEFAULT_BUCKETS: dict[str, tuple[float, ...]] = {
 }
 
 
+def _klass(data: Mapping[str, Any]) -> str:
+    """Fault class of a fault event's data or a fault chain's attrs."""
+    return "detectable" if data.get("detectable", True) else "undetectable"
+
+
 class MetricsObserver:
     """Fold trace events into a :class:`MetricsRegistry`.
 
@@ -639,11 +645,11 @@ class MetricsObserver:
     durations.  Both default off to keep label cardinality bounded on
     big sweeps.
 
-    Recovery latencies are attributed with the same per-pid
-    pending-fault rules as :func:`repro.obs.summary.summarize`, and the
-    latency histogram is classed ``detectable`` / ``undetectable`` /
-    ``unattributed`` by the fault that opened the episode -- the
-    Figure 7 distinction.
+    The recovery latency histogram takes one sample per recovery, the
+    latency of the episode it closed
+    (:func:`repro.obs.spans.episode_latency`), classed ``detectable`` /
+    ``undetectable`` by the episode's earliest fault chain, or
+    ``unattributed`` when no chain was open -- the Figure 7 distinction.
     """
 
     def __init__(
@@ -714,10 +720,7 @@ class MetricsObserver:
             "messages sent per successful phase (finalized)",
         )
 
-        # Attribution state (mirrors summarize()'s PendingFaults, but
-        # remembers the fault class for the latency label).
-        self._pending: dict[int | None, list[tuple[int, float, str]]] = {}
-        self._pending_seq = 0
+        self._chains = FaultChains()
         self._open_phase_start: dict[int, float] = {}
         self._last_token_release: dict[int, float] = {}
         self._instances = 0
@@ -737,6 +740,11 @@ class MetricsObserver:
 
     # -- event folding ---------------------------------------------------
     def __call__(self, event: ObsEvent) -> None:
+        self.fold(event, self._chains.feed(event))
+
+    def fold(self, event: ObsEvent, closed: Sequence[Span]) -> None:
+        """Fold one event whose fault chains are already attributed:
+        ``closed`` is what the fault-chain fold returned for it."""
         kind = event.kind
         data = event.data
         self.events_total.inc(kind=kind)
@@ -768,21 +776,17 @@ class MetricsObserver:
             if duration is not None and math.isfinite(float(duration)):
                 self.instance_duration.observe(float(duration), **labels)
         elif kind == FAULT:
-            klass = "detectable" if data.get("detectable", True) else "undetectable"
-            labels = {"klass": klass}
+            labels = {"klass": _klass(data)}
             if self.per_pid:
                 labels["pid"] = event.pid if event.pid is not None else "sys"
             self.faults_total.inc(**labels)
-            self._pending.setdefault(event.pid, []).append(
-                (self._pending_seq, event.time, klass)
-            )
-            self._pending_seq += 1
         elif kind == DETECT:
             self.detections_total.inc()
         elif kind == RECOVERY:
             self.recoveries_total.inc()
-            latency, klass = self._resolve_recovery(event)
+            latency = episode_latency(event, closed)
             if latency is not None and math.isfinite(latency):
+                klass = _klass(closed[0].attrs) if closed else "unattributed"
                 labels = {"klass": klass}
                 if self.per_pid:
                     labels["pid"] = event.pid if event.pid is not None else "sys"
@@ -802,32 +806,6 @@ class MetricsObserver:
             latency = data.get("latency")
             if latency is not None and math.isfinite(float(latency)):
                 self.message_latency.observe(float(latency))
-
-    def _resolve_recovery(self, event: ObsEvent) -> tuple[float | None, str]:
-        explicit = event.data.get("latency")
-        pid = event.pid
-        queue = self._pending.get(pid)
-        if pid is not None and queue:
-            _, fault_time, klass = queue.pop(0)
-            if not queue:
-                del self._pending[pid]
-            if explicit is not None:
-                self._pending.clear()
-                return float(explicit), klass
-            return event.time - fault_time, klass
-        earliest = min(
-            (q[0] for q in self._pending.values() if q), default=None
-        )
-        self._pending.clear()
-        if earliest is None:
-            return (
-                (float(explicit), "unattributed") if explicit is not None
-                else (None, "unattributed")
-            )
-        _, fault_time, klass = earliest
-        if explicit is not None:
-            return float(explicit), klass
-        return event.time - fault_time, klass
 
     # -- finalization ----------------------------------------------------
     def finalize(self) -> MetricsRegistry:

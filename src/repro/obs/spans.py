@@ -10,13 +10,11 @@ human watching a live run.  :class:`SpanFolder` rebuilds the hierarchy
 * a **participation span** per (round, pid) covering that node's
   message activity inside the round, parented under the barrier span;
 * a **fault chain span** per injected fault -- fault -> detect ->
-  recovery -> first clean successful phase -- using exactly the PR-2
-  causal attribution rules (:mod:`repro.obs.causal`): recoveries match
-  per-pid FIFO, pid-less recoveries are system-wide and close every
-  open chain, detects attribute in global order.  The span closes at
-  the first clean phase end, so its duration is the chain's
-  ``total_latency`` and its ``recovery_latency`` attr is the Figure 7
-  quantity, measured as the chain closes rather than post-hoc.
+  recovery -> first clean successful phase -- folded by
+  :class:`FaultChains`, the one implementation of the fault-attribution
+  rules.  The summary's and the metrics' recovery latencies (one sample
+  per recovery) and the causal report (one chain per fault) are views
+  over the chains it closes.
 
 Finished spans go to a bounded ``recent`` ring (the ``/spans/recent``
 endpoint body) and to an optional ``sink`` callback (the ``obs tail``
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs.events import (
     DETECT,
@@ -86,7 +84,123 @@ class Span:
         return f"[{self.start:>10g}] {self.kind:<13} {self.name:<14} {self.status}{pid}{dur}"
 
 
-class SpanFolder:
+class FaultChains:
+    """The fault-attribution fold: one fault-chain span per fault.
+
+    A chain runs fault -> detect -> recovery -> first clean (successful)
+    phase end, under these rules:
+
+    * a detect goes to the earliest open chain not yet detected
+      (detection is observed at the root, not at the victim);
+    * a recovery at a pid with an open chain and no explicit ``latency``
+      closes that pid's earliest chain (first in, first out per pid);
+    * any other recovery -- no pid, a pid with no open chain, or an
+      explicit ``latency`` (the engine's return to a start state,
+      measured from the episode's first fault) -- ends the episode and
+      closes every open chain.  The explicit latency goes to the
+      earliest chain; every other chain is measured from its own fault;
+    * a recovered chain ends at the next successful phase end.
+
+    :meth:`feed` returns the chains a recovery closed, earliest first.
+    """
+
+    def __init__(self) -> None:
+        self._next_id = 1
+        #: pid -> FIFO of open fault-chain spans awaiting recovery.
+        self._open_faults: dict[int | None, list[Span]] = {}
+        #: Chains recovered but awaiting their first clean phase end.
+        self._awaiting_clean: list[Span] = []
+
+    def _open(self, kind: str, name: str, start: float, **kw: Any) -> Span:
+        span = Span(span_id=self._next_id, kind=kind, name=name, start=start, **kw)
+        self._next_id += 1
+        return span
+
+    def _finish(self, span: Span, end: float, status: str) -> None:
+        span.end = end
+        span.status = status
+
+    def _open_chains(self) -> list[Span]:
+        return sorted(
+            (s for q in self._open_faults.values() for s in q),
+            key=lambda s: s.span_id,
+        )
+
+    def _parent(self) -> int | None:
+        """The span a new chain nests under (none in the bare fold)."""
+        return None
+
+    def feed(self, event: ObsEvent) -> Sequence[Span]:
+        kind = event.kind
+        if kind == FAULT:
+            span = self._open(
+                FAULT_CHAIN,
+                f"fault@{event.time:g}",
+                event.time,
+                pid=event.pid,
+                parent_id=self._parent(),
+                attrs={
+                    "detectable": bool(event.data.get("detectable", True)),
+                    "fault_time": event.time,
+                },
+            )
+            self._open_faults.setdefault(event.pid, []).append(span)
+        elif kind == DETECT:
+            for span in self._open_chains():
+                if "detect_time" not in span.attrs:
+                    span.attrs["detect_time"] = event.time
+                    span.attrs["detection_latency"] = event.time - span.start
+                    break
+        elif kind == RECOVERY:
+            return self._recover(event)
+        elif kind == PHASE_END and event.data.get("success"):
+            for span in self._awaiting_clean:
+                span.attrs["clean_phase_time"] = event.time
+                span.attrs["total_latency"] = event.time - span.start
+                self._finish(span, event.time, "recovered")
+            self._awaiting_clean = []
+        return ()
+
+    def _recover(self, event: ObsEvent) -> list[Span]:
+        explicit = event.data.get("latency")
+        queue = None if event.pid is None else self._open_faults.get(event.pid)
+        own = queue[0] if queue else None
+        if queue and explicit is None:
+            closed = [queue.pop(0)]
+            if not queue:
+                del self._open_faults[event.pid]
+        else:
+            closed = self._open_chains()
+            self._open_faults.clear()
+        for span in closed:
+            span.attrs["recovery_time"] = event.time
+            span.attrs["system_wide_recovery"] = span is not own
+            span.attrs["recovery_latency"] = event.time - span.start
+        if explicit is not None and closed:
+            closed[0].attrs["recovery_latency"] = float(explicit)
+        self._awaiting_clean.extend(closed)
+        return closed
+
+    def finish(self, time: float) -> None:
+        """End of stream: close the chains still open, honestly."""
+        for span in self._open_chains():
+            self._finish(span, time, "unrecovered")
+        self._open_faults.clear()
+        for span in self._awaiting_clean:
+            self._finish(span, time, "recovered-no-clean-phase")
+        self._awaiting_clean = []
+
+
+def episode_latency(event: ObsEvent, closed: Sequence[Span]) -> float | None:
+    """A recovery's one latency sample: that of the episode it closed
+    (its earliest chain's), else the engine's explicit ``latency``."""
+    if closed:
+        return float(closed[0].attrs["recovery_latency"])
+    explicit = event.data.get("latency")
+    return None if explicit is None else float(explicit)
+
+
+class SpanFolder(FaultChains):
     """Fold a (merged) event stream into spans, one event at a time."""
 
     def __init__(
@@ -96,11 +210,11 @@ class SpanFolder:
         keep_all: bool = False,
         participation: bool = True,
     ) -> None:
+        super().__init__()
         self.recent: deque[Span] = deque(maxlen=recent)
         self.sink = sink
         self.completed: list[Span] | None = [] if keep_all else None
         self.participation = participation
-        self._next_id = 1
         #: Counters by span kind, finished spans only.
         self.finished: dict[str, int] = {BARRIER: 0, PARTICIPATION: 0, FAULT_CHAIN: 0}
         self.started: dict[str, int] = dict(self.finished)
@@ -108,21 +222,14 @@ class SpanFolder:
         self._open_round: Span | None = None
         #: pid -> (first time, last time, event count) inside the round.
         self._round_activity: dict[int, tuple[float, float, int]] = {}
-        #: pid -> FIFO of open fault-chain spans awaiting recovery.
-        self._open_faults: dict[int | None, list[Span]] = {}
-        #: Chains recovered but awaiting their first clean phase end.
-        self._awaiting_clean: list[Span] = []
 
     # -- plumbing ------------------------------------------------------
     def _open(self, kind: str, name: str, start: float, **kw: Any) -> Span:
-        span = Span(span_id=self._next_id, kind=kind, name=name, start=start, **kw)
-        self._next_id += 1
         self.started[kind] = self.started.get(kind, 0) + 1
-        return span
+        return super()._open(kind, name, start, **kw)
 
     def _finish(self, span: Span, end: float, status: str) -> None:
-        span.end = end
-        span.status = status
+        super()._finish(span, end, status)
         self.finished[span.kind] = self.finished.get(span.kind, 0) + 1
         self.recent.append(span)
         if self.completed is not None:
@@ -154,7 +261,11 @@ class SpanFolder:
         return None
 
     # -- folding -------------------------------------------------------
-    def feed(self, event: ObsEvent) -> None:
+    def _parent(self) -> int | None:
+        return self._open_round.span_id if self._open_round else None
+
+    def feed(self, event: ObsEvent) -> Sequence[Span]:
+        """Fold one event; returns the fault chains it closed."""
         kind = event.kind
         if kind == PHASE_START:
             if self._open_round is not None:
@@ -171,71 +282,13 @@ class SpanFolder:
         elif kind == PHASE_END:
             success = bool(event.data.get("success"))
             self._close_round(event.time, "ok" if success else "failed", event)
-            if success and self._awaiting_clean:
-                for span in self._awaiting_clean:
-                    span.attrs["clean_phase_time"] = event.time
-                    span.attrs["total_latency"] = event.time - span.start
-                    self._finish(span, event.time, "recovered")
-                self._awaiting_clean = []
-        elif kind == FAULT:
-            parent = self._open_round.span_id if self._open_round else None
-            span = self._open(
-                FAULT_CHAIN,
-                f"fault@{event.time:g}",
-                event.time,
-                pid=event.pid,
-                parent_id=parent,
-                attrs={
-                    "detectable": bool(event.data.get("detectable", True)),
-                    "fault_time": event.time,
-                },
-            )
-            self._open_faults.setdefault(event.pid, []).append(span)
-        elif kind == DETECT:
-            # Global-order attribution: earliest open, not-yet-detected
-            # chain (detection is observed at the root, not the victim).
-            for span in sorted(
-                (s for q in self._open_faults.values() for s in q),
-                key=lambda s: s.span_id,
-            ):
-                if "detect_time" not in span.attrs:
-                    span.attrs["detect_time"] = event.time
-                    span.attrs["detection_latency"] = event.time - span.start
-                    break
-        elif kind == RECOVERY:
-            queue = self._open_faults.get(event.pid)
-            if event.pid is not None and queue:
-                span = queue.pop(0)
-                if not queue:
-                    del self._open_faults[event.pid]
-                self._recover(span, event, system_wide=False)
-            else:
-                explicit = event.data.get("latency")
-                opened = sorted(
-                    (s for q in self._open_faults.values() for s in q),
-                    key=lambda s: s.span_id,
-                )
-                self._open_faults.clear()
-                for j, span in enumerate(opened):
-                    self._recover(span, event, system_wide=True)
-                    if explicit is not None and j == 0:
-                        span.attrs["recovery_latency"] = float(explicit)
         elif self.participation and kind in (MSG_SEND, MSG_RECV, TOKEN_PASS):
             if self._open_round is not None and event.pid is not None:
                 first, _, count = self._round_activity.get(
                     event.pid, (event.time, event.time, 0)
                 )
                 self._round_activity[event.pid] = (first, event.time, count + 1)
-
-    def _recover(self, span: Span, event: ObsEvent, system_wide: bool) -> None:
-        span.attrs["recovery_time"] = event.time
-        span.attrs["system_wide_recovery"] = system_wide
-        explicit = event.data.get("latency")
-        if explicit is not None and not system_wide:
-            span.attrs["recovery_latency"] = float(explicit)
-        else:
-            span.attrs.setdefault("recovery_latency", event.time - span.start)
-        self._awaiting_clean.append(span)
+        return super().feed(event)
 
     def _close_round(
         self, time: float, status: str, event: ObsEvent | None
@@ -269,12 +322,4 @@ class SpanFolder:
         """End of stream: close whatever is still open, honestly."""
         if self._open_round is not None:
             self._close_round(time, "unfinished", None)
-        for span in sorted(
-            (s for q in self._open_faults.values() for s in q),
-            key=lambda s: s.span_id,
-        ):
-            self._finish(span, time, "unrecovered")
-        self._open_faults.clear()
-        for span in self._awaiting_clean:
-            self._finish(span, time, "recovered-no-clean-phase")
-        self._awaiting_clean = []
+        super().finish(time)

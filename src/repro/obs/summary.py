@@ -26,6 +26,7 @@ from repro.obs.events import (
     TOKEN_PASS,
     ObsEvent,
 )
+from repro.obs.spans import FaultChains, episode_latency
 
 
 @dataclass
@@ -100,56 +101,6 @@ class TraceSummary:
         return "\n".join(lines)
 
 
-class PendingFaults:
-    """Per-pid pending-fault bookkeeping for recovery attribution.
-
-    The earlier single-scalar ``pending_fault`` merged *overlapping*
-    faults at different pids into one episode, so a recovery targeted at
-    one pid consumed (and mis-timed) the other pid's fault.  This keeps
-    one FIFO of unrecovered fault times per pid, plus a global arrival
-    order for the system-wide fallback:
-
-    - a recovery whose ``pid`` has a pending fault closes the earliest
-      fault *at that pid* only;
-    - otherwise (pid-less recoveries, or root-observed recoveries with no
-      fault of their own) it is system-wide: its latency is measured from
-      the globally earliest pending fault and the whole episode clears,
-      matching the paper's return-to-start-state semantics.
-    """
-
-    def __init__(self) -> None:
-        self._seq = 0
-        #: pid -> [(arrival seq, fault time)], FIFO per pid
-        self._by_pid: dict[int | None, list[tuple[int, float]]] = {}
-
-    def add(self, pid: int | None, time: float) -> None:
-        self._by_pid.setdefault(pid, []).append((self._seq, time))
-        self._seq += 1
-
-    def __bool__(self) -> bool:
-        return any(self._by_pid.values())
-
-    def resolve(self, pid: int | None, time: float) -> float | None:
-        """Latency for a recovery at ``pid``/``time`` (None if nothing
-        was pending); applies the clearing rules above."""
-        queue = self._by_pid.get(pid)
-        if pid is not None and queue:
-            _, fault_time = queue.pop(0)
-            if not queue:
-                del self._by_pid[pid]
-            return time - fault_time
-        earliest = min(
-            (q[0] for q in self._by_pid.values() if q), default=None
-        )
-        self._by_pid.clear()
-        if earliest is None:
-            return None
-        return time - earliest[1]
-
-    def clear(self) -> None:
-        self._by_pid.clear()
-
-
 def summarize(
     events: Iterable[ObsEvent], open_timers: Iterable[str] = ()
 ) -> TraceSummary:
@@ -160,8 +111,9 @@ def summarize(
     surfaces leaked measurements instead of silently dropping them.
     """
     summary = TraceSummary(open_timers=tuple(sorted(open_timers)))
-    pending = PendingFaults()
+    chains = FaultChains()
     for event in events:
+        closed = chains.feed(event)
         summary.events += 1
         if event.time > summary.total_time:
             summary.total_time = event.time
@@ -176,20 +128,13 @@ def summarize(
             summary.faults += 1
             if event.data.get("detectable", True):
                 summary.detectable_faults += 1
-            pending.add(event.pid, event.time)
         elif kind == DETECT:
             summary.detections += 1
         elif kind == RECOVERY:
             summary.recoveries += 1
-            latency = event.data.get("latency")
+            latency = episode_latency(event, closed)
             if latency is not None:
-                # An explicit latency is authoritative; the recovery is
-                # the engine's return-to-start-state, closing the episode.
-                pending.clear()
-            else:
-                latency = pending.resolve(event.pid, event.time)
-            if latency is not None:
-                summary.recovery_latencies.append(float(latency))
+                summary.recovery_latencies.append(latency)
         elif kind == TOKEN_PASS:
             summary.token_passes += 1
         elif kind == MSG_SEND:

@@ -268,3 +268,31 @@ class TestReportsOnEveryEngine:
         assert det is not None and det.chains > 0
         assert det.recovered == det.chains
         assert all(lat >= 0 for lat in det.recovery_latencies)
+
+
+BAD_TRACES = {
+    "missing-file": None,
+    "non-json-line": '{"kind": "fault", "t": 1.0, "pid": 2}\nnot json\n',
+    "record-without-t": '{"kind": "fault", "pid": 2}\n',
+    "unknown-kind": '{"kind": "nope", "t": 1.0}\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACES))
+@pytest.mark.parametrize(
+    "command", ["trace-report", "metrics-report", "causal-report"]
+)
+def test_report_cli_rejects_bad_input_in_one_line(command, case, tmp_path, capsys):
+    from repro.experiments.cli import main as cli_main
+
+    path = tmp_path / "trace.jsonl"
+    if BAD_TRACES[case] is not None:
+        path.write_text(BAD_TRACES[case])
+    assert cli_main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    if case != "missing-file":
+        assert "bad JSONL at line" in line

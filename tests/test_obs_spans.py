@@ -1,16 +1,19 @@
 """Span folding: the live hierarchy rebuilt over the flat event stream.
 
-The :class:`SpanFolder` must agree with the post-hoc causal analysis
-(:func:`repro.obs.causal.build_chains`): one fault-chain span per fault,
-with the same attribution (per-pid FIFO recoveries, global-order
-detects, system-wide fallback) and the same latencies.
+The folder's fault chains are the one fault-attribution fold: the
+causal chains (one per fault), the summary and the metrics histogram
+(one sample per recovery) are views over them and must agree.
 """
 
 from __future__ import annotations
 
-import pytest
+import math
 
-from repro.obs import Tracer
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.obs import RECOVERY, MetricsObserver, Tracer, metrics_from_trace, summarize
 from repro.obs.causal import build_chains
 from repro.obs.spans import BARRIER, FAULT_CHAIN, PARTICIPATION, SpanFolder
 
@@ -84,33 +87,149 @@ def test_fault_chain_matches_causal_attribution():
     assert span.duration == pytest.approx(chain.total_latency)
 
 
-def test_fault_chain_agreement_on_interleaved_faults():
-    """Two faults on different pids + one pid-less system recovery: the
-    folder's chains must mirror build_chains field for field."""
+def assert_span_is_chain(span, chain) -> None:
+    assert span.start == chain.fault_time
+    assert span.pid == chain.pid
+    assert span.attrs["detectable"] == chain.detectable
+    assert span.attrs.get("detect_time") == chain.detect_time
+    assert span.attrs.get("recovery_time") == chain.recovery_time
+    assert span.attrs.get("system_wide_recovery", False) == chain.system_wide_recovery
+    assert span.attrs.get("recovery_latency") == chain.recovery_latency
+    assert span.attrs.get("total_latency") == chain.total_latency
+
+
+PIDS = st.sampled_from([None, 0, 1, 2])
+OPS = st.one_of(
+    st.tuples(st.just("fault"), PIDS, st.booleans()),
+    st.tuples(st.just("detect")),
+    st.tuples(
+        st.just("recovery"),
+        PIDS,
+        st.one_of(st.none(), st.floats(0.0, 5.0), st.just(math.inf)),
+    ),
+    st.tuples(st.just("phase_end"), st.booleans()),
+)
+
+
+def stream_of(ops) -> list:
     t = Tracer()
-    t.phase_start(1.0, 0)
-    t.fault(2.0, 1, detectable=True)
-    t.fault(2.5, 3, detectable=False)
-    t.detect(3.0, 0, peer=1)
-    t.recovery(4.0, None, latency=1.25)  # system-wide, explicit latency
-    t.phase_end(5.0, 0, False)
-    t.phase_start(5.5, 1)
-    t.phase_end(6.0, 1, True)
+    for i, op in enumerate(ops):
+        time = float(i + 1)
+        if op[0] == "fault":
+            t.fault(time, op[1], detectable=op[2])
+        elif op[0] == "detect":
+            t.detect(time, 0)
+        elif op[0] == "recovery":
+            data = {} if op[2] is None else {"latency": op[2]}
+            t.recovery(time, op[1], **data)
+        else:
+            t.phase_end(time, i, op[1])
+    return t.events
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    ops=[
+        ("fault", 1, True),
+        ("fault", 3, False),
+        ("detect",),
+        ("recovery", None, 1.25),  # system-wide, explicit latency
+        ("phase_end", False),
+        ("phase_end", True),
+    ]
+)
+@given(ops=st.lists(OPS, max_size=30))
+def test_fault_chain_agreement_on_interleaved_faults(ops):
+    """Random fault/detect/recovery/phase_end streams: the summary and
+    the metrics histogram (one sample per recovery), the causal chains
+    (one per fault) and a live-plane style shared fold all agree."""
+    events = stream_of(ops)
+    chains = build_chains(events)
+
+    # Per-recovery projection of the chains: the episode's earliest
+    # chain, else the engine's explicit latency.
+    expected: list[float] = []
+    klasses: dict[str, list[float]] = {}
+    for event in events:
+        if event.kind != RECOVERY:
+            continue
+        closed = [c for c in chains if c.recovery_time == event.time]
+        if closed:
+            latency, klass = closed[0].recovery_latency, closed[0].klass
+        elif "latency" in event.data:
+            latency, klass = event.data["latency"], "unattributed"
+        else:
+            continue
+        expected.append(latency)
+        if math.isfinite(latency):
+            klasses.setdefault(klass, []).append(latency)
+    assert summarize(events).recovery_latencies == expected
+
+    registry = metrics_from_trace(events)
+    hist = registry["barrier_recovery_latency"]
+    finite = [x for x in expected if math.isfinite(x)]
+    counts = {k: hist.count(klass=k) for k in ("detectable", "undetectable", "unattributed")}
+    assert sum(counts.values()) == len(finite)
+    assert {k: n for k, n in counts.items() if n} == {k: len(v) for k, v in klasses.items()}
+    assert sum(hist.sum(klass=k) for k in counts) == pytest.approx(sum(finite))
+
+    # The live plane folds each event once and hands the observer the
+    # folder's verdict.
+    folder = SpanFolder(keep_all=True)
+    observer = MetricsObserver()
+    for event in events:
+        observer.fold(event, folder.feed(event))
+    folder.finish(events[-1].time if events else 0.0)
+    assert observer.finalize().to_json() == registry.to_json()
+    spans = sorted(spans_of(folder, FAULT_CHAIN), key=lambda s: s.span_id)
+    assert len(spans) == len(chains)
+    for span, chain in zip(spans, chains):
+        assert_span_is_chain(span, chain)
+
+
+def test_explicit_latency_recovery_closes_the_episode():
+    """A recovery carrying the engine's latency (measured from the
+    episode's first fault) returns the system to a start state: it
+    closes every open chain, not only its own pid's."""
+    t = Tracer()
+    t.fault(1.0, 11)
+    t.fault(1.2, 0)
+    t.recovery(1.5, 0, latency=0.5)
+    t.phase_end(2.0, 0, True)
     events = t.events
 
-    chains = build_chains(events)
-    folder = folded(events)
-    spans = sorted(spans_of(folder, FAULT_CHAIN), key=lambda s: s.start)
-    assert len(spans) == len(chains) == 2
-    for span, chain in zip(spans, chains):
-        assert span.start == chain.fault_time
-        assert span.pid == chain.pid
-        assert span.attrs["detectable"] == chain.detectable
-        assert span.attrs.get("detect_time") == chain.detect_time
-        assert span.attrs["recovery_time"] == chain.recovery_time
-        assert span.attrs["system_wide_recovery"] == chain.system_wide_recovery
-        assert span.attrs["recovery_latency"] == chain.recovery_latency
-        assert span.attrs["total_latency"] == chain.total_latency
+    first, second = build_chains(events)
+    assert (first.pid, first.recovery_time, first.recovery_latency) == (11, 1.5, 0.5)
+    assert (second.pid, second.recovery_time) == (0, 1.5)
+    assert second.recovery_latency == pytest.approx(0.3)
+    assert first.clean_phase_time == second.clean_phase_time == 2.0
+    assert summarize(events).recovery_latencies == [0.5]
+    hist = metrics_from_trace(events)["barrier_recovery_latency"]
+    assert hist.count(klass="detectable") == 1
+    assert hist.sum(klass="detectable") == 0.5
+    spans = sorted(spans_of(folded(events), FAULT_CHAIN), key=lambda s: s.span_id)
+    assert len(spans) == 2
+    for span, chain in zip(spans, (first, second)):
+        assert_span_is_chain(span, chain)
+
+
+def test_fig5_chains_close_at_the_first_recovery_after_their_fault():
+    from repro.protosim.treebarrier import FTTreeBarrierSim, SimConfig
+
+    t = Tracer()
+    FTTreeBarrierSim(
+        nprocs=16,
+        config=SimConfig(latency=0.02, fault_frequency=0.3, seed=0),
+        tracer=t,
+    ).run(phases=30)
+    recoveries = [e.time for e in t.events if e.kind == RECOVERY]
+    chains = build_chains(t.events)
+    assert chains and recoveries
+    for chain in chains:
+        first = min((r for r in recoveries if r >= chain.fault_time), default=None)
+        assert chain.recovery_time == first
+        if first is not None:
+            assert chain.recovery_latency == pytest.approx(first - chain.fault_time)
 
 
 def test_unrecovered_fault_closes_honestly_at_finish():
